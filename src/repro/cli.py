@@ -8,7 +8,7 @@ Usage (after ``pip install -e .``)::
     merlin-repro ablation {candidates,orders,alpha,bubbling,convergence,curves}
     merlin-repro serve --port N [--workers K] [--cache-dir DIR]
                        [--budget-ops N] [--deadline S] [--pool-retries N]
-                       [--async --shards N --queue-limit N]
+                       [--shards N --queue-limit N]
     merlin-repro loadgen [--url URL | --cross-check | (self-serve)]
                          [--requests N] [--concurrency C] [--record FILE]
                          [--replay FILE] [--out BENCH_serve.json]
@@ -94,15 +94,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                       "GET /v1/healthz)")
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8731)
-    p_srv.add_argument("--async", dest="async_mode", action="store_true",
-                       help="asyncio front end with consistent-hash "
-                            "sharding and bounded admission instead of "
-                            "the sync threading server")
+    # Accepted and ignored: the sharded asyncio tier is the only front
+    # end, and existing launch scripts still pass the old flag.
+    p_srv.add_argument("--async", action="store_true",
+                       help=argparse.SUPPRESS)
     p_srv.add_argument("--shards", type=int, default=2, metavar="N",
-                       help="worker-pool shards behind --async "
-                            "(default 2)")
+                       help="worker-pool shards behind the consistent-"
+                            "hash ring (default 2)")
     p_srv.add_argument("--queue-limit", type=int, default=64, metavar="N",
-                       help="max in-flight requests before --async "
+                       help="max in-flight requests before the server "
                             "answers 429 + Retry-After (default 64)")
     p_srv.add_argument("--workers", type=int, default=None,
                        help="warm-pool size (default: the config's "
@@ -134,7 +134,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "default)")
     p_srv.add_argument("--brownout-after", type=int, default=None,
                        metavar="N",
-                       help="(--async) after N consecutive saturated "
+                       help="after N consecutive saturated "
                             "admissions, downgrade optimize jobs to the "
                             "fast degraded preset instead of answering "
                             "429 (default: off)")
@@ -143,8 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="max seconds to wait for in-flight requests "
                             "when SIGTERM starts a graceful drain "
                             "(default 30)")
-    p_srv.add_argument("--verbose", action="store_true",
-                       help="log every HTTP request to stderr")
 
     p_lg = sub.add_parser(
         "loadgen", help="seeded load generation / replay against a "
@@ -155,9 +153,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                            "it an async sharded server is spun up "
                            "in-process for the run")
     p_lg.add_argument("--cross-check", action="store_true",
-                      help="replay through BOTH the sync and the async "
-                           "path in-process and fail on any tree-"
-                           "signature divergence (ignores --url)")
+                      help="solve the workload in-process with "
+                           "optimize_many AND replay it over HTTP "
+                           "through an in-process server; fail on any "
+                           "tree-signature divergence (ignores --url)")
     p_lg.add_argument("--requests", type=int, default=64)
     p_lg.add_argument("--nets", type=int, default=16, metavar="N",
                       help="distinct underlying nets (default 16)")
@@ -187,7 +186,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="skip the per-replay equivalence-class "
                            "signature gate")
     p_lg.add_argument("--shards", type=int, default=2,
-                      help="shards of the in-process async server "
+                      help="shards of the in-process server "
                            "(self-serve and --cross-check modes)")
     p_lg.add_argument("--queue-limit", type=int, default=64)
     p_lg.add_argument("--workers", type=int, default=1,
@@ -433,7 +432,8 @@ def _resolve_preset_config(preset: str, backend):
 
 
 def _run_serve(args) -> int:
-    from repro.service import OptimizationService, ResultCache, serve
+    from repro.serve import serve_async
+    from repro.service import OptimizationService
 
     config = _resolve_preset_config(args.preset, args.backend)
     workers = _resolve_cli_workers(args.workers, config)
@@ -450,22 +450,14 @@ def _run_serve(args) -> int:
             pool_retries=args.pool_retries,
         )
 
-    if args.async_mode:
-        from repro.serve import serve_async
-
-        serve_async(args.host, args.port,
-                    shards=args.shards,
-                    queue_limit=args.queue_limit,
-                    cache_capacity=args.cache_capacity,
-                    disk_dir=args.cache_dir,
-                    service_factory=service_factory,
-                    brownout_after=args.brownout_after,
-                    drain_timeout_s=args.drain_timeout)
-        return 0
-    service = service_factory(ResultCache(capacity=args.cache_capacity,
-                                          disk_dir=args.cache_dir))
-    serve(args.host, args.port, service=service, verbose=args.verbose,
-          drain_timeout_s=args.drain_timeout)
+    serve_async(args.host, args.port,
+                shards=args.shards,
+                queue_limit=args.queue_limit,
+                cache_capacity=args.cache_capacity,
+                disk_dir=args.cache_dir,
+                service_factory=service_factory,
+                brownout_after=args.brownout_after,
+                drain_timeout_s=args.drain_timeout)
     return 0
 
 
@@ -519,10 +511,11 @@ def _run_loadgen(args) -> int:
                                   concurrency=args.concurrency,
                                   queue_limit=args.queue_limit,
                                   **service_kwargs)
-        report = verdict["async"]
+        report = verdict["http"]
         failures = list(verdict["failures"])
         state = "IDENTICAL" if verdict["identical"] else "DIVERGED"
-        print(f"cross-check sync vs async ({args.shards} shards): {state}")
+        print(f"cross-check in-process vs HTTP ({args.shards} shards): "
+              f"{state}")
     elif args.url is not None:
         report = run_workload(args.url, workload,
                               concurrency=args.concurrency)

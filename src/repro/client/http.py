@@ -115,7 +115,7 @@ class HedgePolicy:
 
 @dataclass
 class ClientResponse:
-    """One decoded v1 response (or legacy body, for shim testing)."""
+    """One decoded v1 response."""
 
     status: int
     body: Dict[str, Any]
@@ -140,14 +140,10 @@ class ClientResponse:
         return 200 <= self.status < 300 and self.error is None
 
     def error_record(self) -> Optional[ErrorRecord]:
-        """The structured failure, rebuilt from the envelope (or from a
-        legacy ``error_detail`` body)."""
+        """The structured failure, rebuilt from the envelope's error."""
         error = self.body.get("error")
         if isinstance(error, dict) and isinstance(error.get("detail"), dict):
             return ErrorRecord.from_dict(error["detail"])
-        detail = self.body.get("error_detail")
-        if isinstance(detail, dict):
-            return ErrorRecord.from_dict(detail)
         return None
 
     def raise_for_error(self) -> None:

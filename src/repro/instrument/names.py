@@ -76,11 +76,8 @@ SERVICE_JOBS = "service.jobs"
 SERVICE_JOB_FAILURES = "service.job.failures"
 #: Jobs abandoned after exceeding the per-job timeout.
 SERVICE_JOB_TIMEOUTS = "service.job.timeouts"
-#: Requests arriving on a deprecated pre-v1 HTTP path (`/optimize`,
-#: `/closure`, `/stats`, `/healthz` without the `/v1` prefix).
-SERVICE_HTTP_LEGACY_PATH = "service.http.legacy_path"
 
-#: Requests accepted by the async front end's admission control.
+#: Requests accepted by the front end's admission control.
 SERVE_ADMITTED = "serve.admitted"
 #: Requests rejected with 429 because the bounded queue was full.
 SERVE_REJECTED = "serve.rejected"
@@ -172,7 +169,7 @@ PIPELINE_ITERATION_WALL_S = "pipeline.iteration.wall_s"
 
 def service_endpoint_requests(endpoint: str) -> str:
     """Per-endpoint request counter (``service.endpoint.<name>.requests``,
-    endpoint names without the leading slash: optimize, stats, healthz)."""
+    endpoint names without the leading slash: optimize, closure)."""
     return f"service.endpoint.{endpoint}.requests"
 
 

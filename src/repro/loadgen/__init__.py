@@ -15,10 +15,11 @@ tests, and from CI:
   ``BENCH_serve.json``, :func:`check_equivalence` asserts one signature
   per cache-equivalence class;
 * :mod:`repro.loadgen.crosscheck` — :func:`run_cross_check`, the
-  sync-vs-async bit-identity gate.
+  in-process-vs-HTTP bit-identity gate, and
+  :func:`in_process_signatures`, its transport-free reference side.
 """
 
-from repro.loadgen.crosscheck import run_cross_check
+from repro.loadgen.crosscheck import in_process_signatures, run_cross_check
 from repro.loadgen.harness import (
     LoadReport,
     RequestOutcome,
@@ -48,6 +49,7 @@ __all__ = [
     "check_equivalence",
     "compare_signature_maps",
     "generate_workload",
+    "in_process_signatures",
     "load_workload",
     "percentile",
     "render_trend",

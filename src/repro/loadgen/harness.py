@@ -1,7 +1,7 @@
 """Drive a MERLIN front end with a workload; measure what matters.
 
 The harness replays a :class:`~repro.loadgen.workload.Workload` against
-a running server (sync or async — same protocol) through
+a running v1 server through
 :class:`~repro.client.MerlinClient` with a bounded worker pool, and
 produces a :class:`LoadReport`:
 
@@ -21,7 +21,7 @@ Reports back two kinds of claims:
 * **Correctness** — :func:`check_equivalence` asserts every
   cache-equivalent request group (repeats, renamed/translated twins)
   returned one tree signature, and :func:`compare_signature_maps`
-  diffs two replays of the same workload (the sync-vs-async
+  diffs two solves of the same workload (the in-process-vs-HTTP
   bit-identity gate in CI).
 """
 
@@ -282,7 +282,8 @@ def check_equivalence(workload: Workload, report: LoadReport) -> List[str]:
 def compare_signature_maps(left: Dict[str, str], right: Dict[str, str],
                            ) -> List[str]:
     """Cross-replay identity failures: requests answered by both runs
-    must carry identical tree signatures (the sync-vs-async CI gate)."""
+    must carry identical tree signatures (the in-process-vs-HTTP
+    CI gate)."""
     failures = []
     for key in sorted(set(left) & set(right), key=int):
         if left[key] != right[key]:

@@ -1,12 +1,13 @@
-"""Process-parallel outer search: multi-seed starts and multi-net batches.
+"""Process-parallel outer search: multi-seed starts.
 
 The MERLIN engine is a deterministic, single-threaded function of
 ``(net, initial order, config)``.  What *is* embarrassingly parallel is
 the outer search around it: restarting from several initial sink orders
 (the paper's E4 ablation shows the local search is robust to the start,
-but restarts still hedge against bad local optima) and optimizing many
-nets of a design at once.  This module fans those whole-run units across
-a ``ProcessPoolExecutor``.
+but restarts still hedge against bad local optima).  This module fans
+those whole-run units across a ``ProcessPoolExecutor``.  Batches of
+different nets go through ``OptimizationService.optimize_many`` instead
+(the service's cache-aware warm pool).
 
 Determinism is preserved by construction:
 
@@ -190,48 +191,7 @@ def run_multi_start(net: Net, tech: Technology,
     return run_tasks(tasks, workers=workers)
 
 
-def run_batch(nets: Sequence[Net], tech: Technology,
-              config: Optional[MerlinConfig] = None,
-              objective: Optional[Objective] = None,
-              workers: Optional[int] = None) -> ParallelOutcome:
-    """Optimize many nets independently (one task per net).
-
-    ``outcome.results[i]`` corresponds to ``nets[i]``; ``outcome.best``
-    is the lowest-cost net and mostly only meaningful for homogeneous
-    sweeps — the per-net results are the real product here.
-    """
-    config = config or MerlinConfig()
-    objective = objective or Objective.max_required_time()
-    tasks = [
-        ParallelTask(net=net, tech=tech, config=config,
-                     objective=objective, label=net.name)
-        for net in nets
-    ]
-    return run_tasks(tasks, workers=workers)
-
-
 def default_worker_count() -> int:
     """A sensible pool size for this machine (used by CLI ``--workers 0``)."""
     return max(1, os.cpu_count() or 1)
 
-
-def multi_start_merlin(net: Net, tech: Technology,
-                       config: Optional[MerlinConfig] = None,
-                       objective: Optional[Objective] = None,
-                       seeds: Sequence[Optional[int]] = (None, 1, 2, 3),
-                       workers: Optional[int] = None) -> ParallelOutcome:
-    """Deprecated alias of :func:`run_multi_start`.
-
-    Kept importable for callers that picked up the pre-facade name; use
-    :func:`repro.optimize` (``multi_start=``/``seeds=``) or
-    :func:`run_multi_start` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.parallel.multi_start_merlin is deprecated; use "
-        "repro.optimize(net, multi_start=K) or "
-        "repro.parallel.run_multi_start",
-        DeprecationWarning, stacklevel=2)
-    return run_multi_start(net, tech, config=config, objective=objective,
-                           seeds=seeds, workers=workers)

@@ -108,7 +108,7 @@ class CacheCorruptionError(MerlinInternalError):
 
 class AdmissionRejectedError(MerlinResourceError):
     """The serving tier's bounded request queue is full; the request was
-    rejected before any work happened.  The HTTP front ends map this to
+    rejected before any work happened.  The HTTP front end maps this to
     **429** with a ``Retry-After`` header (retrying later is exactly the
     right response, unlike the generic 503 resource failures)."""
 

@@ -1,4 +1,4 @@
-"""The asyncio sharded HTTP front end (``merlin-repro serve --async``).
+"""The asyncio sharded HTTP front end (``merlin-repro serve``).
 
 Architecture — one event loop, N worker-pool shards::
 
@@ -13,6 +13,9 @@ Architecture — one event loop, N worker-pool shards::
 * **Transport**: a deliberately small HTTP/1.1 server on
   ``asyncio.start_server`` (stdlib only, ``Connection: close``).  The
   event loop never runs engine work — it parses, routes, and awaits.
+  Every request it reads gets a status line: a malformed request line
+  or header, or a bad or oversized ``Content-Length``, is a **400**
+  v1 envelope, never a silently closed socket.
 * **Admission control**: work-bearing endpoints (``optimize``,
   ``closure``) pass a bounded in-flight gate; beyond ``queue_limit``
   the request is rejected immediately with **429** + ``Retry-After``
@@ -55,10 +58,11 @@ Architecture — one event loop, N worker-pool shards::
   the shared disk tier before the listener closes.
 
 Endpoint semantics — parsing, handlers, envelopes, error bodies — come
-from :mod:`repro.service.protocol`, the same module the sync front end
-uses, which is why the two paths answer bit-identically (the engine is
-deterministic, so even cross-shard answers match): the CI gate replays
-one workload through both and diffs tree signatures.
+from :mod:`repro.service.protocol`.  The engine is deterministic, so an
+answer does not depend on the shard that computed it: the
+``loadgen --cross-check`` gate replays one workload through this tier
+and through in-process :meth:`OptimizationService.optimize_many` and
+diffs the tree signatures.
 """
 
 from __future__ import annotations
@@ -105,6 +109,16 @@ DEFAULT_SHARD_THREADS = 2
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             429: "Too Many Requests", 500: "Internal Server Error",
             503: "Service Unavailable"}
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request/header line; a line past the reader's buffer limit
+    (64 KiB) is a malformed request, not an unhandled ``ValueError``."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise MerlinInputError("request line or header too long",
+                               stage="http") from None
 
 
 def build_shard_services(
@@ -286,22 +300,19 @@ class AsyncShardedServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
-            parsed = await self._read_request(reader)
+            try:
+                parsed = await self._read_request(reader)
+            except MerlinInputError as exc:
+                outcome = protocol.EndpointOutcome(400, None, exc.record)
+                await self._respond(writer, 400, protocol.envelope(
+                    outcome, protocol.new_request_id(), 0.0), [])
+                return
             if parsed is None:
                 return
             method, path, raw = parsed
             status, payload, headers = await self._handle_request(
                 method, path, raw)
-            blob = json.dumps(payload).encode("utf-8")
-            reason = _REASONS.get(status, "Error")
-            head = (f"HTTP/1.1 {status} {reason}\r\n"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(blob)}\r\n"
-                    "Connection: close\r\n")
-            for name, value in headers:
-                head += f"{name}: {value}\r\n"
-            writer.write(head.encode("latin-1") + b"\r\n" + blob)
-            await writer.drain()
+            await self._respond(writer, status, payload, headers)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
         finally:
@@ -311,30 +322,54 @@ class AsyncShardedServer:
             except ConnectionError:
                 pass
 
+    @staticmethod
+    async def _respond(writer: asyncio.StreamWriter, status: int,
+                       payload: Dict[str, Any],
+                       headers: List[Tuple[str, str]]) -> None:
+        blob = json.dumps(payload).encode("utf-8")
+        reason = _REASONS.get(status, "Error")
+        head = (f"HTTP/1.1 {status} {reason}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(blob)}\r\n"
+                "Connection: close\r\n")
+        for name, value in headers:
+            head += f"{name}: {value}\r\n"
+        writer.write(head.encode("latin-1") + b"\r\n" + blob)
+        await writer.drain()
+
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> Optional[Tuple[str, str, bytes]]:
-        request_line = await reader.readline()
+        """``(method, path, body)``, or None when the client sent
+        nothing; raises :class:`MerlinInputError` on a request that
+        cannot be parsed (the caller answers it with a 400)."""
+        request_line = await _read_line(reader)
         if not request_line:
             return None
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            return None
+            raise MerlinInputError(
+                f"malformed request line {request_line[:80]!r}",
+                stage="http")
         method, path = parts[0].upper(), parts[1]
         length = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    length = 0
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise MerlinInputError(
+                        f"malformed Content-Length {value[:40]!r}",
+                        stage="http")
+                length = int(value)
         if length > protocol.MAX_BODY_BYTES:
-            # Refuse before buffering; the parse layer would reject it
-            # anyway but reading 8 MiB+ first invites memory pressure.
-            return method, path, b"x" * (protocol.MAX_BODY_BYTES + 1)
+            # Refuse before buffering: reading 8 MiB+ first invites
+            # memory pressure.
+            raise MerlinInputError(
+                f"request body exceeds {protocol.MAX_BODY_BYTES} bytes",
+                stage="http")
         raw = await reader.readexactly(length) if length > 0 else b""
         return method, path, raw
 
@@ -344,9 +379,7 @@ class AsyncShardedServer:
                               ) -> Tuple[int, Dict[str, Any],
                                          List[Tuple[str, str]]]:
         started = time.perf_counter()
-        is_v1, endpoint, is_legacy = protocol.split_path(path)
-        if is_legacy:
-            self._record(metric.SERVICE_HTTP_LEGACY_PATH)
+        endpoint = protocol.split_path(path)
         outcome: Optional[protocol.EndpointOutcome] = None
         body: Any = None
         if method == "POST" and endpoint is not None:
@@ -359,15 +392,9 @@ class AsyncShardedServer:
             outcome = await self._dispatch(method, endpoint, body, path)
         self._record_series(metric.SERVE_REQUEST_LATENCY_S,
                             time.perf_counter() - started)
-        if is_v1 or endpoint is None:
-            payload = protocol.envelope(
-                outcome, protocol.new_request_id(),
-                protocol.timing_ms_since(started))
-        else:
-            payload = protocol.legacy_body(outcome)
+        payload = protocol.envelope(outcome, protocol.new_request_id(),
+                                    protocol.timing_ms_since(started))
         headers: List[Tuple[str, str]] = []
-        if is_legacy:
-            headers.append(("Deprecation", "true"))
         if outcome.retry_after_s is not None:
             headers.append(("Retry-After",
                             str(max(1, math.ceil(outcome.retry_after_s)))))
@@ -400,9 +427,7 @@ class AsyncShardedServer:
             self._in_flight -= 1
 
     def _healthz_body(self) -> Dict[str, Any]:
-        """Per-shard health: overall status plus each breaker snapshot.
-        The sync front end keeps the flat ``{"status": "ok"}`` body; the
-        sharded tier is where per-shard state exists to report."""
+        """Per-shard health: overall status plus each breaker snapshot."""
         shards = [{"index": index, "breaker": breaker.snapshot()}
                   for index, breaker in enumerate(self.breakers)]
         degraded = any(s["breaker"]["state"] != STATE_CLOSED
@@ -589,7 +614,7 @@ def serve_async(host: str, port: int,
                 brownout_after: Optional[int] = None,
                 drain_timeout_s: float = 30.0,
                 **service_kwargs: Any) -> None:
-    """Blocking entry point behind ``merlin-repro serve --async``.
+    """Blocking entry point behind ``merlin-repro serve``.
 
     SIGTERM triggers a graceful drain (in-flight requests finish, new
     ones get 503 + ``Retry-After``, the disk cache tier is flushed)
@@ -612,7 +637,7 @@ def serve_async(host: str, port: int,
             loop.add_signal_handler(signal.SIGTERM, sigterm.set)
         except (NotImplementedError, ValueError):
             pass  # platforms/threads without signal support
-        print(f"merlin-repro async service listening on http://{host}:"
+        print(f"merlin-repro service listening on http://{host}:"
               f"{server.port}  ({len(server.services)} shards, queue "
               f"limit {server.queue_limit}; POST /v1/optimize, "
               f"POST /v1/closure, GET /v1/stats, GET /v1/healthz; "
@@ -624,9 +649,8 @@ def serve_async(host: str, port: int,
             return_when=asyncio.FIRST_COMPLETED)
         if drain_task in done:
             report = await server.drain(timeout_s=drain_timeout_s)
-            print("merlin-repro async service drained "
-                  f"(flushed {report['flushed']} cache entries, "
-                  f"{report['in_flight']} request(s) abandoned)")
+            print(f"drained: in_flight={report['in_flight']} "
+                  f"flushed={report['flushed']}")
         serve_task.cancel()
         drain_task.cancel()
         for task in (serve_task, drain_task):

@@ -36,6 +36,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -67,6 +68,12 @@ _MODULE_OVERRIDE_MAX_LINE = 5
 
 #: Thread-pool width for phase-1 cache misses.
 _MAX_WORKERS = 8
+
+#: Serializes ``ast.parse`` across the phase-1 threads: CPython 3.11
+#: keeps the AST-conversion recursion counter in interpreter-wide state,
+#: so two threads converting at once can fail with "SystemError: AST
+#: constructor recursion depth mismatch".  The rule walks stay parallel.
+_PARSE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, order=True)
@@ -278,7 +285,8 @@ def parse_module(path: str, source: Optional[str] = None,
     if source is None:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
-    tree = ast.parse(source, filename=path)
+    with _PARSE_LOCK:
+        tree = ast.parse(source, filename=path)
     module = _derive_module_name(path)
     head = "\n".join(source.splitlines()[:_MODULE_OVERRIDE_MAX_LINE])
     override = _MODULE_RE.search(head)

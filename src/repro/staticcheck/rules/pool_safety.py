@@ -30,10 +30,8 @@ from repro.staticcheck.engine import (
 
 #: Entry points whose arguments end up pickled into worker processes.
 #: ``submit`` matches any ``<pool>.submit(fn, ...)`` attribute call;
-#: the rest are this repo's drivers (and their deprecated aliases).
-_POOL_ENTRY_NAMES = frozenset({
-    "run_multi_start", "run_batch", "optimize_many", "multi_start_merlin",
-})
+#: the rest are this repo's drivers.
+_POOL_ENTRY_NAMES = frozenset({"run_multi_start", "optimize_many"})
 
 
 def _is_pool_call(node: ast.Call) -> bool:

@@ -21,11 +21,7 @@ from repro.client import (
     MerlinClient,
     RetryPolicy,
 )
-from repro.resilience.errors import (
-    MerlinInputError,
-    MerlinResourceError,
-    UnknownPathError,
-)
+from repro.resilience.errors import MerlinInputError, MerlinResourceError
 
 
 # ----------------------------------------------------------------------
@@ -73,15 +69,6 @@ def test_error_record_reads_the_envelope_detail():
     assert rebuilt == record
     with pytest.raises(MerlinInputError, match="bad"):
         response.raise_for_error()
-
-
-def test_error_record_falls_back_to_the_legacy_shape():
-    record = UnknownPathError("gone", stage="http").record
-    response = ClientResponse(
-        404, {"error": "gone", "error_detail": record.to_dict()},
-        headers={})
-    assert response.error_record() == record
-    assert not response.ok
 
 
 def test_ok_requires_2xx_and_a_null_error():

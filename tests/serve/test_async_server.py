@@ -1,7 +1,10 @@
 """The async sharded front end: round trips, admission control, shard
-failover, cache affinity, and sync/async bit-identity."""
+failover, cache affinity, and malformed-HTTP handling."""
 
 from __future__ import annotations
+
+import json
+import socket
 
 import pytest
 
@@ -99,18 +102,83 @@ def test_unknown_paths_answer_the_envelope_404(server):
     assert response.status == 404
 
 
-def test_legacy_shim_keeps_the_historical_shape(server):
+def test_pre_v1_paths_answer_the_unknown_path_404(server):
     client = _no_retry_client(server)
     net = build_net(3, seed=33)
-    response = client.request("POST", "/optimize",
-                              {"net": net_to_dict(net)})
-    assert response.status == 200
-    assert "api_version" not in response.body  # legacy body, no envelope
-    assert response.body["ok"] is True
-    assert response.headers.get("Deprecation") == "true"
-    stats = client.stats()
-    front = stats["counters"]
-    assert front["service.http.legacy_path"] >= 1
+    for method, path, body in (
+            ("POST", "/optimize", {"net": net_to_dict(net)}),
+            ("POST", "/closure", {"circuit": "b9"}),
+            ("GET", "/stats", None),
+            ("GET", "/healthz", None)):
+        response = client.request(method, path, body)
+        assert response.status == 404
+        assert response.body["api_version"] == "v1"
+        assert response.error["code"] == "unknown_path"
+        assert "Deprecation" not in response.headers
+
+
+# ----------------------------------------------------------------------
+# malformed HTTP: every request read gets a status line
+# ----------------------------------------------------------------------
+
+def _raw_exchange(server, payload):
+    """Send raw bytes, half-close, and read until the server closes."""
+    host, port = server.base_url[len("http://"):].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _assert_400_envelope(reply):
+    head, _, blob = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
+    assert b"Content-Type: application/json" in head
+    body = json.loads(blob)
+    assert body["api_version"] == "v1" and body["result"] is None
+    assert body["error"]["category"] == "input"
+    assert body["error"]["detail"]["stage"] == "http"
+    return body
+
+
+def test_short_request_line_is_a_400_not_a_silent_close(server):
+    body = _assert_400_envelope(_raw_exchange(server, b"GARBAGE\r\n\r\n"))
+    assert "malformed request line" in body["error"]["message"]
+
+
+def test_header_past_the_line_limit_is_a_400(server):
+    huge = b"X-Filler: " + b"a" * (70 * 1024) + b"\r\n"
+    reply = _raw_exchange(
+        server, b"GET /v1/healthz HTTP/1.1\r\n" + huge + b"\r\n")
+    body = _assert_400_envelope(reply)
+    assert "too long" in body["error"]["message"]
+
+
+@pytest.mark.parametrize("value", [b"ten", b"-5", b"1e3"])
+def test_non_integer_content_length_is_a_400(server, value):
+    reply = _raw_exchange(
+        server, b"POST /v1/optimize HTTP/1.1\r\nContent-Length: " + value
+        + b"\r\n\r\n{}")
+    body = _assert_400_envelope(reply)
+    assert "Content-Length" in body["error"]["message"]
+
+
+def test_oversized_content_length_is_refused_unread(server):
+    from repro.service.protocol import MAX_BODY_BYTES
+
+    # The declared body is never sent: the server must answer from the
+    # header alone instead of waiting for (or buffering) 8 MiB.
+    reply = _raw_exchange(
+        server, b"POST /v1/optimize HTTP/1.1\r\nContent-Length: "
+        + str(MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n")
+    body = _assert_400_envelope(reply)
+    assert "exceeds" in body["error"]["message"]
 
 
 def test_admission_fault_forces_429_with_retry_after(server):

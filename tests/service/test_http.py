@@ -1,11 +1,17 @@
-"""HTTP front end: round trips against an in-process server."""
+"""The v1 HTTP surface end to end: status mapping, envelopes, closure.
+
+Round trips against a one-shard in-process front end
+(:class:`repro.serve.embedded.EmbeddedAsyncServer` over a single
+:class:`OptimizationService`), over plain ``urllib`` so the raw status
+line, headers and body are what is asserted.
+"""
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
@@ -14,37 +20,39 @@ from repro.core.config import MerlinConfig
 from repro.net import net_to_dict
 from repro.routing.export import tree_from_dict, tree_signature
 from repro.routing.validate import validate_tree
-from repro.service import OptimizationService, ResultCache, make_server
+from repro.serve.embedded import EmbeddedAsyncServer
+from repro.service import OptimizationService, ResultCache
 from repro.tech.technology import default_technology
 
 TECH = default_technology()
 CONFIG = MerlinConfig.test_preset()
 
 
+@contextmanager
+def _serve(service):
+    """One shard over ``service``; the service is closed on exit."""
+    try:
+        with EmbeddedAsyncServer([service]) as embedded:
+            yield embedded
+    finally:
+        service.close()
+
+
 @pytest.fixture()
 def server():
-    service = OptimizationService(
-        tech=TECH, config=CONFIG, cache=ResultCache(), workers=1)
-    httpd = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
+    with _serve(OptimizationService(
+            tech=TECH, config=CONFIG, cache=ResultCache(),
+            workers=1)) as embedded:
+        yield embedded
+
+
+def _url(embedded, path):
+    return f"{embedded.base_url}{path}"
+
+
+def _get_full(embedded, path):
     try:
-        yield httpd
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        service.close()
-        thread.join(timeout=5)
-
-
-def _url(httpd, path):
-    host, port = httpd.server_address[:2]
-    return f"http://{host}:{port}{path}"
-
-
-def _get_full(httpd, path):
-    try:
-        with urllib.request.urlopen(_url(httpd, path),
+        with urllib.request.urlopen(_url(embedded, path),
                                     timeout=10) as response:
             return (response.status,
                     json.loads(response.read().decode("utf-8")),
@@ -54,15 +62,15 @@ def _get_full(httpd, path):
             dict(error.headers)
 
 
-def _get(httpd, path):
-    status, body, _ = _get_full(httpd, path)
+def _get(embedded, path):
+    status, body, _ = _get_full(embedded, path)
     return status, body
 
 
-def _post_full(httpd, path, body):
+def _post_full(embedded, path, body):
     data = body if isinstance(body, bytes) else json.dumps(body).encode()
     request = urllib.request.Request(
-        _url(httpd, path), data=data,
+        _url(embedded, path), data=data,
         headers={"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(request, timeout=60) as response:
@@ -73,69 +81,71 @@ def _post_full(httpd, path, body):
             dict(error.headers)
 
 
-def _post(httpd, path, body):
-    status, payload, _ = _post_full(httpd, path, body)
+def _post(embedded, path, body):
+    status, payload, _ = _post_full(embedded, path, body)
     return status, payload
 
 
 def test_healthz(server):
-    status, body = _get(server, "/healthz")
+    status, body = _get(server, "/v1/healthz")
     assert status == 200
-    assert body == {"status": "ok"}
+    assert body["result"]["status"] == "ok"
 
 
 def test_optimize_round_trip_returns_a_valid_tree(server):
     net = build_net(3, seed=11)
-    status, body = _post(server, "/optimize", {"net": net_to_dict(net)})
+    status, body = _post(server, "/v1/optimize", {"net": net_to_dict(net)})
     assert status == 200
-    assert body["ok"] and not body["cached"]
-    tree = tree_from_dict(body["tree"], net, TECH.buffers)
+    result = body["result"]
+    assert result["ok"] and not result["cached"]
+    tree = tree_from_dict(result["tree"], net, TECH.buffers)
     validate_tree(tree)
-    assert tree_signature(tree) == body["tree_signature"]
+    assert tree_signature(tree) == result["tree_signature"]
 
 
 def test_second_post_is_a_cache_hit_with_identical_signature(server):
     net = build_net(3, seed=12)
     payload = {"net": net_to_dict(net)}
-    _, cold = _post(server, "/optimize", payload)
-    status, warm = _post(server, "/optimize", payload)
+    _, cold = _post(server, "/v1/optimize", payload)
+    status, warm = _post(server, "/v1/optimize", payload)
+    cold, warm = cold["result"], warm["result"]
     assert status == 200
     assert warm["cached"] is True
     assert warm["tree_signature"] == cold["tree_signature"]
     assert warm["tree"] == cold["tree"]
 
-    _, stats = _get(server, "/stats")
-    assert stats["cache"]["hits"] == 1
-    assert stats["cache"]["misses"] == 1
-    assert stats["counters"]["service.cache.hits"] == 1
+    _, stats = _get(server, "/v1/stats")
+    shard = stats["result"]["shards"][0]
+    assert shard["cache"]["hits"] == 1
+    assert shard["cache"]["misses"] == 1
+    assert shard["counters"]["service.cache.hits"] == 1
 
 
 def test_bare_net_payload_is_accepted(server):
     net = build_net(2, seed=13)
-    status, body = _post(server, "/optimize", net_to_dict(net))
-    assert status == 200 and body["ok"]
+    status, body = _post(server, "/v1/optimize", net_to_dict(net))
+    assert status == 200 and body["result"]["ok"]
 
 
 def test_bad_json_is_rejected(server):
-    status, body = _post(server, "/optimize", b"{not json")
+    status, body = _post(server, "/v1/optimize", b"{not json")
     assert status == 400
-    assert "error" in body
+    assert "not valid JSON" in body["error"]["message"]
 
 
 def test_malformed_net_is_rejected(server):
-    status, body = _post(server, "/optimize", {"net": {"name": "broken"}})
+    status, body = _post(server, "/v1/optimize", {"net": {"name": "broken"}})
     assert status == 400
-    assert "malformed" in body["error"]
+    assert "malformed" in body["error"]["message"]
 
 
 def test_empty_body_is_rejected(server):
-    status, _ = _post(server, "/optimize", b"")
+    status, body = _post(server, "/v1/optimize", b"")
     assert status == 400
+    assert body["error"]["category"] == "input"
 
 
 def test_unknown_paths_are_404_in_the_v1_envelope(server):
-    # Even pre-v1 clients hitting a dead path get the structured error
-    # (there is no legacy 404 shape worth preserving).
     status, body, headers = _get_full(server, "/nope")
     assert status == 404
     assert headers["Content-Type"] == "application/json"
@@ -156,28 +166,30 @@ def test_v1_paths_reject_wrong_methods_as_unknown(server):
 
 
 def test_stats_reports_execution_mode(server):
-    status, stats = _get(server, "/stats")
+    status, stats = _get(server, "/v1/stats")
     assert status == 200
-    assert stats["execution_mode"] == "serial"
-    assert stats["workers"] == 1
+    shard = stats["result"]["shards"][0]
+    assert shard["execution_mode"] == "serial"
+    assert shard["workers"] == 1
 
 
 def test_every_response_is_json_content_type(server):
     net = build_net(2, seed=14)
     for status, _, headers in (
-        _get_full(server, "/healthz"),
-        _get_full(server, "/stats"),
         _get_full(server, "/v1/healthz"),
-        _post_full(server, "/optimize", {"net": net_to_dict(net)}),
+        _get_full(server, "/v1/stats"),
+        _post_full(server, "/v1/optimize", {"net": net_to_dict(net)}),
         _post_full(server, "/v1/optimize", b"{not json"),
+        _post_full(server, "/v1/closure", {"circuit": "nope"}),
         _get_full(server, "/nope"),
+        _post_full(server, "/optimize", {"net": net_to_dict(net)}),
     ):
         assert headers["Content-Type"] == "application/json"
         assert int(headers["Content-Length"]) > 0
 
 
 # ----------------------------------------------------------------------
-# the v1 surface: envelope goldens and legacy-shim equivalence
+# the v1 surface: envelope goldens
 # ----------------------------------------------------------------------
 
 ENVELOPE_KEYS = {"api_version", "request_id", "result", "error",
@@ -197,7 +209,6 @@ def test_v1_optimize_success_envelope(server):
     status, body, headers = _post_full(
         server, "/v1/optimize", {"net": net_to_dict(net)})
     assert status == 200
-    assert "Deprecation" not in headers
     _assert_envelope(body)
     assert body["error"] is None and body["degraded"] is False
     result = body["result"]
@@ -224,11 +235,11 @@ def test_v1_healthz_and_stats_envelopes(server):
     status, body, _ = _get_full(server, "/v1/healthz")
     assert status == 200
     _assert_envelope(body)
-    assert body["result"] == {"status": "ok"}
+    assert body["result"]["status"] == "ok"
     status, body, _ = _get_full(server, "/v1/stats")
     assert status == 200
     _assert_envelope(body)
-    assert body["result"]["workers"] == 1
+    assert body["result"]["shard_count"] == 1
 
 
 def test_v1_closure_success_envelope(server):
@@ -250,67 +261,17 @@ def test_v1_closure_error_envelope(server):
     assert "unknown circuit" in body["error"]["message"]
 
 
-def test_legacy_paths_carry_deprecation_header_and_tick_the_counter(server):
-    net = build_net(3, seed=22)
-    status, _, headers = _post_full(server, "/optimize",
-                                    {"net": net_to_dict(net)})
-    assert status == 200
-    assert headers["Deprecation"] == "true"
-    _, _, headers = _get_full(server, "/healthz")
-    assert headers["Deprecation"] == "true"
-    _, stats = _get(server, "/stats")
-    assert stats["counters"]["service.http.legacy_path"] >= 2
-
-
-def test_legacy_shim_body_equals_the_v1_result_field(server):
-    net = build_net(3, seed=23)
-    payload = {"net": net_to_dict(net)}
-    _, legacy = _post(server, "/optimize", payload)
-    _, enveloped = _post(server, "/v1/optimize", payload)
-    # Identical net through both surfaces: the shim body is exactly the
-    # envelope's result, modulo the per-call timing and the cache flag
-    # (the second call is the hit).
-    result = enveloped["result"]
-    assert result["cached"] is True
-    drop = ("cached", "elapsed_s")
-    assert {k: v for k, v in legacy.items() if k not in drop} == \
-        {k: v for k, v in result.items() if k not in drop}
-
-
-def test_legacy_error_shim_matches_the_v1_error_detail(server):
-    bad = {"net": {"name": "broken"}}
-    _, legacy = _post(server, "/optimize", bad)
-    _, enveloped = _post(server, "/v1/optimize", bad)
-    assert legacy["error"] == enveloped["error"]["message"]
-    assert legacy["error_detail"] == enveloped["error"]["detail"]
-
-
 # ----------------------------------------------------------------------
 # Error-taxonomy status mapping
 # ----------------------------------------------------------------------
 
-def _serve(service):
-    """Yieldless variant of the server fixture for custom services."""
-    httpd = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    return httpd, thread
-
-
-def _stop(httpd, thread, service):
-    httpd.shutdown()
-    httpd.server_close()
-    service.close()
-    thread.join(timeout=5)
-
-
 def test_input_errors_are_400_with_a_field_precise_detail(server):
     net_payload = net_to_dict(build_net(3, seed=15))
     del net_payload["sinks"][1]["load"]
-    status, body = _post(server, "/optimize", {"net": net_payload})
+    status, body = _post(server, "/v1/optimize", {"net": net_payload})
     assert status == 400
-    assert "invalid net payload" in body["error"]
-    detail = body["error_detail"]
+    assert "invalid net payload" in body["error"]["message"]
+    detail = body["error"]["detail"]
     assert detail["category"] == "input"
     assert "sink #1" in detail["message"]
     assert "'load'" in detail["message"]
@@ -333,30 +294,30 @@ def _status_for_runner(runner):
 
     service = OptimizationService(
         tech=TECH, config=CONFIG, cache=ResultCache(), workers=1)
-    httpd, thread = _serve(service)
     original = engine_mod._JOB_RUNNER
     engine_mod._JOB_RUNNER = runner
     try:
-        net = build_net(3, seed=16)
-        return _post(httpd, "/optimize", {"net": net_to_dict(net)})
+        with _serve(service) as embedded:
+            net = build_net(3, seed=16)
+            return _post(embedded, "/v1/optimize",
+                         {"net": net_to_dict(net)})
     finally:
         engine_mod._JOB_RUNNER = original
-        _stop(httpd, thread, service)
 
 
 def test_resource_errors_are_503():
     status, body = _status_for_runner(_resource_error_runner)
     assert status == 503
-    assert not body["ok"]
-    assert body["error_detail"]["category"] == "resource"
-    assert body["error_detail"]["kind"] == "PoolUnavailableError"
+    assert body["result"] is None
+    assert body["error"]["category"] == "resource"
+    assert body["error"]["detail"]["kind"] == "PoolUnavailableError"
 
 
 def test_internal_errors_are_500():
     status, body = _status_for_runner(_internal_error_runner)
     assert status == 500
-    assert not body["ok"]
-    assert body["error_detail"]["category"] == "internal"
+    assert body["result"] is None
+    assert body["error"]["category"] == "internal"
 
 
 def test_degraded_results_are_200_and_carry_the_degradation_detail():
@@ -365,27 +326,29 @@ def test_degraded_results_are_200_and_carry_the_degradation_detail():
     service = OptimizationService(
         tech=TECH, config=CONFIG, cache=ResultCache(), workers=1,
         budget_ops=1)
-    httpd, thread = _serve(service)
-    try:
-        net = build_net(3, seed=17)
-        status, body = _post(httpd, "/optimize", {"net": net_to_dict(net)})
-    finally:
-        _stop(httpd, thread, service)
+    net = build_net(3, seed=17)
+    with _serve(service) as embedded:
+        status, body = _post(embedded, "/v1/optimize",
+                             {"net": net_to_dict(net)})
     assert status == 200
-    assert body["ok"] and body["degraded"]
-    assert body["degradation"]["rung"] == "buffered_star"
-    assert body["tree_signature"] == tree_signature(buffered_star(net, TECH))
+    assert body["degraded"] is True
+    result = body["result"]
+    assert result["ok"] and result["degraded"]
+    assert result["degradation"]["rung"] == "buffered_star"
+    assert result["tree_signature"] == \
+        tree_signature(buffered_star(net, TECH))
 
 
 # ----------------------------------------------------------------------
-# POST /closure
+# POST /v1/closure
 # ----------------------------------------------------------------------
 
 def test_closure_endpoint_runs_a_named_circuit(server):
-    status, body = _post(server, "/closure",
+    status, body = _post(server, "/v1/closure",
                          {"circuit": "b9", "order": "criticality",
                           "batch_size": 4})
     assert status == 200
+    body = body["result"]
     assert body["converged"] is True
     assert body["circuit"] == "b9"
     assert body["policy"] == "criticality"
@@ -404,31 +367,32 @@ def test_closure_endpoint_accepts_an_inline_netlist(server):
     spec = CircuitSpec(name="http_inline", primary_inputs=4,
                        primary_outputs=3, logic_gates=10, levels=3,
                        max_fanout=4, seed=7)
-    status, body = _post(server, "/closure",
+    status, body = _post(server, "/v1/closure",
                          {"netlist": netlist_to_dict(generate_circuit(spec)),
                           "include_trees": True})
     assert status == 200
+    body = body["result"]
     assert body["circuit"] == "http_inline"
     assert body["converged"] is True
     assert sorted(body["trees"]) == sorted(body["signatures"])
 
 
 def test_closure_endpoint_rejects_unknown_circuit(server):
-    status, body = _post(server, "/closure", {"circuit": "nope"})
+    status, body = _post(server, "/v1/closure", {"circuit": "nope"})
     assert status == 400
-    assert "unknown circuit" in body["error"]
-    assert body["error_detail"]["category"] == "input"
+    assert "unknown circuit" in body["error"]["message"]
+    assert body["error"]["category"] == "input"
 
 
 def test_closure_endpoint_rejects_unknown_order(server):
-    status, body = _post(server, "/closure",
+    status, body = _post(server, "/v1/closure",
                          {"circuit": "b9", "order": "bogus"})
     assert status == 400
-    assert "unknown ordering policy" in body["error"]
+    assert "unknown ordering policy" in body["error"]["message"]
 
 
 def test_closure_endpoint_rejects_bad_knobs(server):
-    status, body = _post(server, "/closure",
+    status, body = _post(server, "/v1/closure",
                          {"circuit": "b9", "target_scale": 2.0})
     assert status == 400
-    assert body["error_detail"]["category"] == "input"
+    assert body["error"]["category"] == "input"

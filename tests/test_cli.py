@@ -78,28 +78,44 @@ class TestResolveCliWorkers:
 
 class TestServeCommand:
     def test_serve_wires_the_service(self, monkeypatch, tmp_path):
-        import repro.service as service_mod
+        import repro.serve as serve_mod
+        from repro.core.config import MerlinConfig
+        from repro.service import ResultCache
 
-        captured = {}
+        calls = []
 
-        def fake_serve(host, port, service=None, verbose=False,
-                       drain_timeout_s=30.0):
-            captured.update(host=host, port=port, service=service,
-                            verbose=verbose, drain_timeout_s=drain_timeout_s)
-            service.close()
+        def fake_serve_async(host, port, **kwargs):
+            calls.append(dict(kwargs, host=host, port=port))
 
-        monkeypatch.setattr(service_mod, "serve", fake_serve)
-        assert main(["serve", "--port", "9999", "--workers", "3",
-                     "--preset", "test", "--job-timeout", "7.5",
-                     "--cache-capacity", "11",
-                     "--cache-dir", str(tmp_path / "c")]) == 0
-        assert captured["host"] == "127.0.0.1"
-        assert captured["port"] == 9999
-        svc = captured["service"]
-        assert svc.workers == 3
-        assert svc.job_timeout_s == 7.5
-        assert svc.cache.stats()["capacity"] == 11
-        assert svc.cache.stats()["disk_dir"] == str(tmp_path / "c")
+        monkeypatch.setattr(serve_mod, "serve_async", fake_serve_async)
+        argv = ["serve", "--port", "9999", "--workers", "3",
+                "--preset", "test", "--job-timeout", "7.5",
+                "--cache-capacity", "11",
+                "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        # --async is a hidden no-op: the same entry point, same wiring.
+        assert main(argv + ["--async"]) == 0
+        assert len(calls) == 2
+        for call in calls:
+            assert call["host"] == "127.0.0.1"
+            assert call["port"] == 9999
+            assert call["shards"] == 2
+            assert call["queue_limit"] == 64
+            assert call["cache_capacity"] == 11
+            assert call["disk_dir"] == str(tmp_path / "c")
+            assert call["brownout_after"] is None
+            assert call["drain_timeout_s"] == 30.0
+            svc = call["service_factory"](ResultCache(capacity=11))
+            try:
+                assert svc.workers == 3
+                assert svc.job_timeout_s == 7.5
+                assert svc.config == MerlinConfig.test_preset()
+                assert svc.cache.stats()["capacity"] == 11
+            finally:
+                svc.close()
+        plain, flagged = calls
+        assert {k: v for k, v in plain.items() if k != "service_factory"} \
+            == {k: v for k, v in flagged.items() if k != "service_factory"}
 
     def test_serve_rejects_bad_preset(self):
         with pytest.raises(SystemExit):

@@ -45,14 +45,6 @@ def test_results_follow_submission_order():
     assert outcome.best.cost == min(r.cost for r in outcome.results)
 
 
-def test_run_batch_maps_nets_in_order():
-    nets = [build_net(3, seed=s, name=f"net{s}") for s in (1, 2, 3)]
-    outcome = parallel.run_batch(nets, TECH, config=CONFIG, workers=2)
-    assert [r.net_name for r in outcome.results] == \
-        ["net1", "net2", "net3"]
-    assert all(r.tree.wire_length > 0 for r in outcome.results)
-
-
 def test_parent_recorder_never_crosses_the_pool():
     """A live parent recorder is stripped; workers record independently."""
     net = build_net(3, seed=4)
