@@ -23,9 +23,10 @@ The recursion follows the paper:
 This module is the library's hottest code path, but it no longer owns
 the inner loops: every curve operation goes through the registered
 :class:`repro.curves.contract.CurveKernel` backend selected by
-``CurveConfig.backend`` — scalar ``SolutionCurve`` loops
-(:mod:`repro.curves.backend_python`) or deferred structure-of-arrays
-blocks (:mod:`repro.curves.backend_numpy`), bit-identical by contract.
+``CurveConfig.backend`` — batched NumPy candidate streams
+(:mod:`repro.curves.backend_numpy`, the default when NumPy imports) or
+scalar ``SolutionCurve`` loops (:mod:`repro.curves.backend_python`),
+bit-identical by contract.
 What stays here is the DP structure and the per-net precomputation:
 tables indexed by candidate *index*, wire resistances/capacitances
 between candidates precomputed, per-buffer delays precomputed as affine
@@ -50,9 +51,8 @@ from repro.tech.technology import Technology
 from repro.units import fzero
 
 #: A leaf's base solutions, indexed by candidate index.  Each entry is a
-#: frozen curve block in the active kernel's format: a plain list
-#: (python backend) or a deferred
-#: :class:`repro.curves.kernels.CurveSoA` block (numpy backend).
+#: frozen curve block: a list of built solutions in curve order (a
+#: :class:`repro.curves.kernels.CurveSoA` on the numpy backend).
 LeafCurves = List[Sequence[Solution]]
 
 #: Backwards-compatible alias (the tuple layout moved to the contract).
@@ -88,8 +88,6 @@ class PTreeContext:
         self.wire_widths: Tuple[float, ...] = tuple(wire_widths)
         #: The registered kernel backend running every curve operation.
         self.kernel = contract.get_kernel(curve_config.backend)
-        #: Resolved once; kept for callers that branch on the backend.
-        self.use_numpy = self.kernel.name == "numpy"
         # With buffering disabled the DP degenerates to plain PTREE
         # [LCLH96] — the routing baseline of Flows I and II.
         buffers = list(tech.buffers) if use_buffers else []
@@ -128,28 +126,26 @@ class PTreeContext:
     def freeze_curves(self, curves: List[SolutionCurve]) -> LeafCurves:
         """Freeze live curves into per-candidate frozen blocks.
 
-        The python backend freezes to plain solution lists; the numpy
-        backend to deferred :class:`~repro.curves.kernels.CurveSoA`
-        blocks — no :class:`Solution` is constructed, and the attribute
-        vectors are built lazily and reused by every later join.
+        Every block holds built :class:`Solution` objects.  The numpy
+        backend builds its survivors here, with one memo for the whole
+        call: relocation lets a curve's solutions drive another's, and
+        the memo builds each shared one once.
         """
         kernel = self.kernel
-        return [kernel.freeze(curve) for curve in curves]
-
-    def traceback_curves(self, blocks: LeafCurves) -> List[List[Solution]]:
-        """Materialize frozen blocks into plain solution lists."""
-        kernel = self.kernel
-        return [kernel.traceback(block) for block in blocks]
+        memo: dict = {}
+        return [kernel.freeze(curve, memo) for curve in curves]
 
     def thaw_curves(self, curves) -> List[SolutionCurve]:
         """Hand live curves back to backend-agnostic callers.
 
-        The numpy backend's pending curves are materialized into
-        equivalent :class:`SolutionCurve` instances (same buckets, same
-        dict order); python-backend curves pass through unchanged.
+        The numpy backend's pending curves are built into equivalent
+        :class:`SolutionCurve` instances (same buckets, same dict order,
+        one memo as in :meth:`freeze_curves`); python-backend curves
+        pass through unchanged.
         """
         kernel = self.kernel
-        return [kernel.thaw(curve) for curve in curves]
+        memo: dict = {}
+        return [kernel.thaw(curve, memo) for curve in curves]
 
     # ------------------------------------------------------------------
     # Base-curve construction

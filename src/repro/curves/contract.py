@@ -15,9 +15,10 @@ solution-curve blocks:
     one relaxation pass of ``S(p) = min{d(p,p') + S(p')}`` over the
     candidate set;
 ``prune`` / ``freeze`` / ``traceback`` / ``thaw``
-    cull dominated entries, snapshot a live curve into the frozen block
-    format, and materialize :class:`~repro.curves.solution.Solution`
-    objects out of a block (traceback) or a live curve (thaw).
+    cull dominated entries, freeze a live curve into a frozen block of
+    built :class:`~repro.curves.solution.Solution` objects, list a
+    block's solutions (traceback), or hand a live curve over as a
+    :class:`~repro.curves.curve.SolutionCurve` (thaw).
 
 This module pins that interface as :class:`CurveKernel` and keeps a
 registry of implementations, mirroring how staticcheck rules register:
@@ -26,8 +27,9 @@ each backend module defines a subclass decorated with
 creation.  Two backends ship — ``"python"``
 (:mod:`repro.curves.backend_python`, scalar loops over
 :class:`~repro.curves.curve.SolutionCurve`) and ``"numpy"``
-(:mod:`repro.curves.backend_numpy`, deferred structure-of-arrays blocks
-from :mod:`repro.curves.kernels`) — and are bit-identical by contract:
+(:mod:`repro.curves.backend_numpy`, batched candidate streams over
+deferred entries from :mod:`repro.curves.kernels`; the default when
+NumPy imports) — and are bit-identical by contract:
 the golden suites and ``bench check_suite`` pin equal tree signatures.
 A native or GPU backend is a third registration away; engine layers
 (``core``, ``routing``, ``service``, ``pipeline``) never see
@@ -117,8 +119,8 @@ class CurveKernel:
     live-curve type; ``Block`` its frozen-curve type.  Both must satisfy
     the small structural protocol the engine relies on: live curves
     expose ``add`` / ``extend`` / ``prune`` / ``solutions`` / ``root``
-    and iterate their survivors; frozen blocks expose ``len`` and
-    iterate materialized solutions.
+    and iterate their survivors; frozen blocks are lists of built
+    solutions in curve order.
     """
 
     #: Registry name; also the ``CurveConfig.backend`` value it serves.
@@ -170,17 +172,24 @@ class CurveKernel:
         """Cull 3-D dominated entries and enforce the capacity cap."""
         raise NotImplementedError
 
-    def freeze(self, curve):
-        """Snapshot a (pruned) live curve into the frozen block format."""
+    def freeze(self, curve, memo: Optional[dict] = None):
+        """Freeze a (pruned) live curve into a block of built solutions.
+
+        ``memo`` is one build memo shared by every curve frozen together
+        (:meth:`repro.core.star_ptree.PTreeContext.freeze_curves` passes
+        one per call), so sub-structures shared between them are built
+        once; None gives the curve a memo of its own.
+        """
         raise NotImplementedError
 
     def traceback(self, block) -> List[Solution]:
-        """Materialize a frozen block's solutions (curve order)."""
-        raise NotImplementedError
+        """A frozen block's solutions as a plain list (curve order)."""
+        return list(block)
 
-    def thaw(self, curve) -> SolutionCurve:
+    def thaw(self, curve, memo: Optional[dict] = None) -> SolutionCurve:
         """Hand a live curve to backend-agnostic callers as an
-        equivalent :class:`SolutionCurve` (same buckets, same order)."""
+        equivalent :class:`SolutionCurve` (same buckets, same order);
+        ``memo`` as for :meth:`freeze`."""
         raise NotImplementedError
 
 

@@ -28,17 +28,18 @@ class CurveConfig:
     the three extreme points (best required time, min load, min area) are
     always retained, so both objective variants keep their optima.
 
-    ``backend`` selects the curve-kernel implementation: ``"python"``
-    (default, dependency-free) or ``"numpy"`` (vectorized structure-of-
-    arrays kernels, bit-identical results; see
-    :mod:`repro.curves.kernels`).  Requesting ``"numpy"`` without NumPy
-    installed degrades gracefully to ``"python"``.
+    ``backend`` selects the curve-kernel implementation: ``"numpy"``
+    (batched candidate streams, see :mod:`repro.curves.kernels`; the
+    default when NumPy imports) or ``"python"`` (dependency-free scalar
+    loops; the default otherwise).  Both give bit-identical results.
+    Requesting ``"numpy"`` without NumPy installed degrades gracefully
+    to ``"python"``.
     """
 
     load_step: float = 1.0
     area_step: float = 30.0
     max_solutions: int = 64
-    backend: str = "python"
+    backend: str = "numpy" if kernels.numpy_available() else "python"
 
     def __post_init__(self) -> None:
         if self.load_step <= 0 or self.area_step <= 0:
@@ -146,18 +147,7 @@ class SolutionCurve:
         return True
 
     def extend(self, solutions) -> int:
-        """Insert many solutions; return how many were stored.
-
-        On the numpy backend a :class:`~repro.curves.kernels.CurveSoA`
-        input is inserted as one vectorized batch (same final curve
-        state; the returned count then reflects per-bucket winners
-        rather than every transiently accepted solution).
-        """
-        if (self._numpy and isinstance(solutions, kernels.CurveSoA)
-                and len(solutions) >= kernels.EXTEND_MIN_ITEMS):
-            return kernels.batch_insert(
-                self, solutions.loads, solutions.reqs, solutions.areas,
-                solutions.resolve_row)
+        """Insert many solutions; return how many were stored."""
         return sum(1 for s in solutions if self.add(s))
 
     def prune(self) -> None:

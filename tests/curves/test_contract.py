@@ -16,10 +16,14 @@ Two families of guarantees:
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.curves import contract
 from repro.curves.curve import CurveConfig, SolutionCurve
 from repro.curves.solution import Buffered, Extend, Join, SinkLeaf, Solution
@@ -112,6 +116,35 @@ def test_numpy_request_degrades_without_numpy(monkeypatch):
     monkeypatch.setattr(kernels, "_np", None)
     monkeypatch.setattr(kernels, "_fallback_logged", True)
     assert contract.get_kernel("numpy").name == "python"
+
+
+def test_default_backend_without_numpy_is_python_and_logs_nothing():
+    """Without NumPy the default kernel is python and nothing is logged;
+    only an explicit numpy request logs the fallback, once."""
+    snippet = (
+        "import logging, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "records = []\n"
+        "class Keep(logging.Handler):\n"
+        "    def emit(self, record):\n"
+        "        records.append(record)\n"
+        "logging.getLogger('repro.curves.kernels').addHandler(Keep())\n"
+        "from repro.core.config import MerlinConfig\n"
+        "from repro.curves import contract\n"
+        "backend = MerlinConfig().curve.backend\n"
+        "assert backend == 'python', backend\n"
+        "assert contract.get_kernel(backend).name == 'python'\n"
+        "assert not records, records\n"
+        "contract.get_kernel('numpy')\n"
+        "contract.get_kernel('numpy')\n"
+        "assert len(records) == 1, records\n"
+    )
+    repro_root = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", snippet], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": repro_root},
+        timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_library_shadow_table_marks_same_bucket_predecessors():

@@ -71,9 +71,10 @@ def test_curve_soa_columns_match_solutions():
     soa = kernels.CurveSoA(sols)
     assert list(soa) == sols
     assert len(soa) == len(sols)
-    assert soa.loads.tolist() == [s.load for s in sols]
-    assert soa.reqs.tolist() == [s.required_time for s in sols]
-    assert soa.areas.tolist() == [s.area for s in sols]
+    loads, reqs, areas = soa.columns()
+    assert loads.tolist() == [s.load for s in sols]
+    assert reqs.tolist() == [s.required_time for s in sols]
+    assert areas.tolist() == [s.area for s in sols]
 
 
 def test_buffer_vectors_align_with_params():

@@ -243,3 +243,29 @@ def test_one_shot_optimize_many_helper():
     results = optimize_many(nets, tech=TECH, config=CONFIG, workers=2)
     assert [r.net_name for r in results] == ["n1", "n2"]
     assert all(r.ok for r in results)
+
+
+# ----------------------------------------------------------------------
+# The served curve kernel
+# ----------------------------------------------------------------------
+
+def test_service_without_a_backend_runs_the_numpy_kernel(monkeypatch):
+    """With NumPy present, a service whose config names no backend
+    solves on the numpy kernel."""
+    pytest.importorskip("numpy")
+    from repro.curves import kernels
+
+    frozen = []
+    freeze = kernels.PendingCurve.freeze
+
+    def spy(curve, memo=None):
+        frozen.append(curve)
+        return freeze(curve, memo)
+
+    monkeypatch.setattr(kernels.PendingCurve, "freeze", spy)
+    with _service() as service:
+        assert service.config.backend is None
+        assert service.config.curve.resolved_backend() == "numpy"
+        result = service.optimize(build_net(3, seed=5))
+    assert not result.cached
+    assert frozen

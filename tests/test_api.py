@@ -181,7 +181,9 @@ def test_facade_is_exported_at_top_level():
 def test_config_backend_none_keeps_curve_backend():
     config = MerlinConfig.test_preset()
     assert config.backend is None
-    assert config.curve.backend == "python"
+    # The default curve kernel is numpy whenever NumPy imports.
+    expected = "numpy" if kernels.numpy_available() else "python"
+    assert config.curve.backend == expected
 
 
 def test_config_backend_normalizes_into_curve():

@@ -117,6 +117,36 @@ class TestServeCommand:
         assert {k: v for k, v in plain.items() if k != "service_factory"} \
             == {k: v for k, v in flagged.items() if k != "service_factory"}
 
+    def test_serve_runs_the_numpy_kernel_by_default(self, monkeypatch):
+        """``serve`` with no ``--backend`` solves on the numpy kernel
+        whenever NumPy is present."""
+        pytest.importorskip("numpy")
+        import repro.serve as serve_mod
+        from repro.curves import kernels
+        from repro.service import ResultCache
+        from tests.conftest import build_net
+
+        calls = []
+        monkeypatch.setattr(serve_mod, "serve_async",
+                            lambda host, port, **kwargs: calls.append(kwargs))
+        frozen = []
+        freeze = kernels.PendingCurve.freeze
+
+        def spy(curve, memo=None):
+            frozen.append(curve)
+            return freeze(curve, memo)
+
+        monkeypatch.setattr(kernels.PendingCurve, "freeze", spy)
+        assert main(["serve", "--port", "9999", "--workers", "1"]) == 0
+        svc = calls[0]["service_factory"](ResultCache(capacity=4))
+        try:
+            assert svc.config.backend is None
+            assert svc.config.curve.resolved_backend() == "numpy"
+            assert not svc.optimize(build_net(3, seed=5)).cached
+        finally:
+            svc.close()
+        assert frozen
+
     def test_serve_rejects_bad_preset(self):
         with pytest.raises(SystemExit):
             main(["serve", "--preset", "bogus"])
